@@ -8,13 +8,8 @@
 //! redeployment — batched fleet ops + the delta rank-index refresh, run
 //! over a truncated event stream to bound wall time).
 //!
-//! Every configuration runs under both coordinators — `serial` (evaluate a
-//! window, then drain its reports) and `pipelined` (drain window *t* while
-//! the shards evaluate window *t+1*) — with **broadcast scatter** (shared
-//! columnar windows, the default; one `Arc` clone per shard per round) and,
-//! on the inline/pipelined modeling rows, the **eager** per-shard-copy
-//! scatter baseline, so the collapse of `scatter_ns` into per-shard
-//! `partition_scan_ns` is visible side by side. All modes produce
+//! Every scenario runs at 1, 2, 4 and 8 shards, with the shards inline on
+//! the coordinator thread and on worker threads. Both modes produce
 //! byte-identical answers.
 //!
 //! A global counting allocator audits the coordinator window loop: steady
@@ -104,8 +99,8 @@ use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::FractionTolerance;
 use asf_core::workload::{UpdateEvent, Workload};
 use asf_server::{
-    CheckpointMode, CoordMode, DurabilityConfig, ExecMode, ScatterMode, ServerConfig,
-    ShardedServer, TelemetryConfig, TraceDepth,
+    CheckpointMode, DurabilityConfig, ExecMode, ServerConfig, ShardedServer, TelemetryConfig,
+    TraceDepth,
 };
 use bench_harness::Scale;
 use simkit::fault::FaultMix;
@@ -144,8 +139,6 @@ struct RunStats {
     scenario: &'static str,
     shards: usize,
     mode: &'static str,
-    coord: &'static str,
-    scatter: &'static str,
     init_ns: u64,
     init_probe_ns: u64,
     init_index_ns: u64,
@@ -234,14 +227,6 @@ fn run_one<P: Protocol>(
             ExecMode::Inline => "inline",
             ExecMode::Threaded => "threaded",
         },
-        coord: match config.coordinator {
-            CoordMode::Serial => "serial",
-            CoordMode::Pipelined => "pipelined",
-        },
-        scatter: match config.scatter {
-            ScatterMode::Eager => "eager",
-            ScatterMode::Broadcast => "broadcast",
-        },
         init_ns,
         init_probe_ns,
         init_index_ns,
@@ -273,8 +258,7 @@ fn run_one<P: Protocol>(
 
 fn json_run(s: &RunStats) -> String {
     format!(
-        "    {{\"scenario\": \"{}\", \"shards\": {}, \"mode\": \"{}\", \"coord\": \"{}\", \
-         \"scatter\": \"{}\", \"events\": {}, \
+        "    {{\"scenario\": \"{}\", \"shards\": {}, \"mode\": \"{}\", \"events\": {}, \
          \"init_ns\": {}, \"init_probe_ns\": {}, \"init_index_ns\": {}, \"init_deploy_ns\": {}, \
          \"ingest_wall_ns\": {}, \"critical_path_ns\": {}, \"serial_ns\": {}, \
          \"scatter_ns\": {}, \"window_build_ns\": {}, \"partition_scan_ns\": {}, \
@@ -288,8 +272,6 @@ fn json_run(s: &RunStats) -> String {
         s.scenario,
         s.shards,
         s.mode,
-        s.coord,
-        s.scatter,
         s.events,
         s.init_ns,
         s.init_probe_ns,
@@ -395,84 +377,56 @@ fn main() {
     let mut results: Vec<RunStats> = Vec::new();
     for &shards in &[1usize, 2, 4, 8] {
         for mode in [ExecMode::Inline, ExecMode::Threaded] {
-            for coord in [CoordMode::Serial, CoordMode::Pipelined] {
-                // Broadcast scatter (the default) everywhere; the eager
-                // baseline additionally runs on the inline/pipelined
-                // modeling rows so the scatter_ns → partition_scan_ns
-                // migration is visible at every shard count.
-                let scatters: &[ScatterMode] =
-                    if mode == ExecMode::Inline && coord == CoordMode::Pipelined {
-                        &[ScatterMode::Broadcast, ScatterMode::Eager]
-                    } else {
-                        &[ScatterMode::Broadcast]
-                    };
-                for &scatter in scatters {
-                    let config = ServerConfig {
-                        num_shards: shards,
-                        batch_size: 8192,
-                        mode,
-                        channel_capacity: 2,
-                        coordinator: coord,
-                        scatter,
-                        telemetry: telemetry_off(),
-                    };
-                    let mut run = |stats: RunStats| {
-                        eprintln!(
-                            "  wall {:>10.0} upd/s   modeled {:>10.0} upd/s   scatter {:>7.2}ms   \
-                             scan// {:>6.1}ms   serial {:>6.1}ms   overlap {:>6.1}ms",
-                            stats.wall_updates_per_sec(),
-                            stats.modeled_updates_per_sec(),
-                            stats.scatter_ns as f64 / 1e6,
-                            stats.partition_scan_ns as f64 / 1e6,
-                            stats.serial_ns as f64 / 1e6,
-                            stats.overlap_saved_ns as f64 / 1e6,
-                        );
-                        results.push(stats);
-                    };
-                    if wants("zt_nrp_range") {
-                        eprintln!(
-                            "running zt_nrp_range shards={shards} {mode:?} {coord:?} {scatter:?} \
-                             ..."
-                        );
-                        run(run_one("zt_nrp_range", &initial, &events, ZtNrp::new(query), config));
-                    }
-                    if wants("rtp_knn") {
-                        eprintln!(
-                            "running rtp_knn shards={shards} {mode:?} {coord:?} {scatter:?} ..."
-                        );
-                        run(run_one(
-                            "rtp_knn",
-                            &initial,
-                            &events,
-                            Rtp::new(rank_query, rank_r).unwrap(),
-                            config,
-                        ));
-                    }
-                    if wants("reinit_storm") {
-                        eprintln!(
-                            "running reinit_storm shards={shards} {mode:?} {coord:?} {scatter:?} \
-                             ..."
-                        );
-                        run(run_one(
-                            "reinit_storm",
-                            &initial,
-                            storm_events,
-                            FtRp::new(rank_query, storm_tol, FtRpConfig::default(), seed).unwrap(),
-                            config,
-                        ));
-                    }
-                }
+            let config = ServerConfig::with_shards(shards)
+                .batch_size(8192)
+                .mode(mode)
+                .telemetry(telemetry_off());
+            let mut run = |stats: RunStats| {
+                eprintln!(
+                    "  wall {:>10.0} upd/s   modeled {:>10.0} upd/s   scatter {:>7.2}ms   \
+                     scan// {:>6.1}ms   serial {:>6.1}ms   overlap {:>6.1}ms",
+                    stats.wall_updates_per_sec(),
+                    stats.modeled_updates_per_sec(),
+                    stats.scatter_ns as f64 / 1e6,
+                    stats.partition_scan_ns as f64 / 1e6,
+                    stats.serial_ns as f64 / 1e6,
+                    stats.overlap_saved_ns as f64 / 1e6,
+                );
+                results.push(stats);
+            };
+            if wants("zt_nrp_range") {
+                eprintln!("running zt_nrp_range shards={shards} {mode:?} ...");
+                run(run_one("zt_nrp_range", &initial, &events, ZtNrp::new(query), config));
+            }
+            if wants("rtp_knn") {
+                eprintln!("running rtp_knn shards={shards} {mode:?} ...");
+                run(run_one(
+                    "rtp_knn",
+                    &initial,
+                    &events,
+                    Rtp::new(rank_query, rank_r).unwrap(),
+                    config,
+                ));
+            }
+            if wants("reinit_storm") {
+                eprintln!("running reinit_storm shards={shards} {mode:?} ...");
+                run(run_one(
+                    "reinit_storm",
+                    &initial,
+                    storm_events,
+                    FtRp::new(rank_query, storm_tol, FtRpConfig::default(), seed).unwrap(),
+                    config,
+                ));
             }
         }
     }
 
     // Silent-ingest steady-state allocation audit: an all-silent workload
     // (every update repeats the stream's initial value, so no filter ever
-    // fires) runs on the default inline/pipelined/broadcast coordinator
-    // twice. The first pass warms every pool — window buffers, shard
-    // selection scratch, report buffers, commit scratch — and settles the
-    // adaptive window; the structurally identical second pass must
-    // allocate *nothing*.
+    // fires) runs on a 4-shard inline server twice. The first pass warms
+    // every pool — window buffers, shard selection scratch, report
+    // buffers, commit scratch — and settles the adaptive window; the
+    // structurally identical second pass must allocate *nothing*.
     let steady_allocs_per_round = if only.is_none() {
         let silent_pass = |base_time: f64| -> Vec<UpdateEvent> {
             (0..events.len())
@@ -486,15 +440,7 @@ fn main() {
                 })
                 .collect()
         };
-        let config = ServerConfig {
-            num_shards: 4,
-            batch_size: 8192,
-            mode: ExecMode::Inline,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: ScatterMode::Broadcast,
-            telemetry: telemetry_off(),
-        };
+        let config = ServerConfig::with_shards(4).batch_size(8192).telemetry(telemetry_off());
         let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
         server.initialize();
         let warm = silent_pass(1.0);
@@ -529,15 +475,7 @@ fn main() {
         let wall = |telemetry: TelemetryConfig| -> u64 {
             (0..3)
                 .map(|_| {
-                    let config = ServerConfig {
-                        num_shards: 4,
-                        batch_size: 8192,
-                        mode: ExecMode::Inline,
-                        channel_capacity: 2,
-                        coordinator: CoordMode::Pipelined,
-                        scatter: ScatterMode::Broadcast,
-                        telemetry,
-                    };
+                    let config = ServerConfig::with_shards(4).batch_size(8192).telemetry(telemetry);
                     let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
                     server.initialize();
                     let t = Instant::now();
@@ -592,15 +530,7 @@ fn main() {
         while let Some(ev) = w.next_event() {
             events_rec.push(ev);
         }
-        let config = ServerConfig {
-            num_shards: 4,
-            batch_size: 8192,
-            mode: ExecMode::Inline,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: ScatterMode::Broadcast,
-            telemetry: telemetry_off(),
-        };
+        let config = ServerConfig::with_shards(4).batch_size(8192).telemetry(telemetry_off());
         let dir = std::env::temp_dir().join(format!("asf-bench-recovery-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // Cadence such that the last checkpoint lands mid-stream and
@@ -714,15 +644,7 @@ fn main() {
     // quiescence is `tests/chaos_differential.rs`' job; this sweep prices
     // the steady-state fault tax).
     let chaos = if only.is_none() || only.as_deref() == Some("chaos") {
-        let config = ServerConfig {
-            num_shards: 4,
-            batch_size: 1024,
-            mode: ExecMode::Inline,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: ScatterMode::Broadcast,
-            telemetry: telemetry_off(),
-        };
+        let config = ServerConfig::with_shards(4).batch_size(1024).telemetry(telemetry_off());
         let mut levels: Vec<String> = Vec::new();
         for &loss in &[0.01f64, 0.05, 0.20] {
             eprintln!("running chaos sweep at loss={loss} ...");
@@ -797,15 +719,7 @@ fn main() {
     // reproduce the crashed server's answers and ledger exactly.
     let chaos_recovery = if only.is_none() || only.as_deref() == Some("chaos_recovery") {
         let loss = 0.20f64;
-        let config = ServerConfig {
-            num_shards: 4,
-            batch_size: 1024,
-            mode: ExecMode::Inline,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: ScatterMode::Broadcast,
-            telemetry: telemetry_off(),
-        };
+        let config = ServerConfig::with_shards(4).batch_size(1024).telemetry(telemetry_off());
         // Same lease geometry as the chaos sweep (four heartbeat rounds at
         // one round per 1024-event chunk), so 20% loss genuinely expires
         // leases and the adaptive/batched machinery has work to do.
@@ -977,15 +891,7 @@ fn main() {
     // levels anchors the comparison and must stay byte-identical.
     let multi_query = if only.is_none() || only.as_deref() == Some("multi_query") {
         use asf_core::multi_query::{CellMode, MultiRangeZt, RoutingMode};
-        let mq_config = ServerConfig {
-            num_shards: 4,
-            batch_size: 8192,
-            mode: ExecMode::Inline,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: ScatterMode::Broadcast,
-            telemetry: telemetry_off(),
-        };
+        let mq_config = ServerConfig::with_shards(4).batch_size(8192).telemetry(telemetry_off());
         let ms: &[usize] = if scale.is_quick() { &[10, 100, 1_000] } else { &[10, 1_000, 100_000] };
         let naive_cap = 1_000usize;
         let (domain_lo, domain_hi) = (0.0f64, 1000.0);
@@ -1119,15 +1025,7 @@ fn main() {
         while let Some(ev) = w.next_event() {
             events_s.push(ev);
         }
-        let config = ServerConfig {
-            num_shards: 4,
-            batch_size: 1024,
-            mode: ExecMode::Inline,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: ScatterMode::Broadcast,
-            telemetry: telemetry_off(),
-        };
+        let config = ServerConfig::with_shards(4).batch_size(1024).telemetry(telemetry_off());
         let dir = std::env::temp_dir().join(format!("asf-fault-smoke-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // The ~2k-event workload crosses this cadence at its first chunk
@@ -1167,40 +1065,16 @@ fn main() {
         );
     }
 
-    // Headline speedups come from the pipelined coordinator + broadcast
-    // scatter (the defaults) in inline mode — the per-shard work model on
-    // this container.
-    let find = |scenario: &str, shards: usize, mode: &str, coord: &str, scatter: &str| {
-        results.iter().find(move |s| {
-            s.scenario == scenario
-                && s.shards == shards
-                && s.mode == mode
-                && s.coord == coord
-                && s.scatter == scatter
-        })
+    // Headline speedups come from inline mode — the per-shard work model.
+    let find = |scenario: &str, shards: usize, mode: &str| {
+        results.iter().find(move |s| s.scenario == scenario && s.shards == shards && s.mode == mode)
     };
     let modeled_of = |scenario: &str, shards: usize| {
-        find(scenario, shards, "inline", "pipelined", "broadcast")
-            .map(|s| s.modeled_updates_per_sec())
-            .unwrap_or(f64::NAN)
+        find(scenario, shards, "inline").map(|s| s.modeled_updates_per_sec()).unwrap_or(f64::NAN)
     };
     let speedup_8x = modeled_of("zt_nrp_range", 8) / modeled_of("zt_nrp_range", 1);
     let rtp_speedup_8x = modeled_of("rtp_knn", 8) / modeled_of("rtp_knn", 1);
     let storm_speedup_8x = modeled_of("reinit_storm", 8) / modeled_of("reinit_storm", 1);
-
-    // Scatter collapse: eager partition-loop time over broadcast Arc-clone
-    // time, on the 8-shard inline/pipelined rows (the acceptance metric of
-    // the broadcast-scatter rewire).
-    let scatter_reduction = |scenario: &str| {
-        let eager = find(scenario, 8, "inline", "pipelined", "eager").map(|s| s.scatter_ns);
-        let bcast = find(scenario, 8, "inline", "pipelined", "broadcast").map(|s| s.scatter_ns);
-        match (eager, bcast) {
-            (Some(e), Some(b)) => e as f64 / b.max(1) as f64,
-            _ => f64::NAN,
-        }
-    };
-    let zt_scatter_red = scatter_reduction("zt_nrp_range");
-    let rtp_scatter_red = scatter_reduction("rtp_knn");
 
     // Multi-core wall-clock gate: when real cores exist, the threaded
     // 8-vs-1 wall speedup must track the modeled speedup within
@@ -1210,8 +1084,8 @@ fn main() {
     let wall_gate = if cpus > 1 {
         let mut entries = Vec::new();
         for scenario in ["zt_nrp_range", "rtp_knn", "reinit_storm"] {
-            let one = find(scenario, 1, "threaded", "pipelined", "broadcast");
-            let eight = find(scenario, 8, "threaded", "pipelined", "broadcast");
+            let one = find(scenario, 1, "threaded");
+            let eight = find(scenario, 8, "threaded");
             let (Some(one), Some(eight)) = (one, eight) else { continue };
             let wall = eight.wall_updates_per_sec() / one.wall_updates_per_sec();
             let modeled = eight.modeled_updates_per_sec() / one.modeled_updates_per_sec();
@@ -1268,8 +1142,6 @@ fn main() {
     let _ = writeln!(json, "  \"rtp_modeled_speedup_8_shards_vs_1\": {rtp_speedup_8x:.2},");
     let _ =
         writeln!(json, "  \"reinit_storm_modeled_speedup_8_shards_vs_1\": {storm_speedup_8x:.2},");
-    let _ = writeln!(json, "  \"zt_nrp_scatter_reduction_8_shards\": {zt_scatter_red:.1},");
-    let _ = writeln!(json, "  \"rtp_scatter_reduction_8_shards\": {rtp_scatter_red:.1},");
     let _ = writeln!(json, "  \"wall_gate\": {wall_gate},");
     let _ = writeln!(
         json,
@@ -1308,15 +1180,10 @@ fn main() {
     // so the timeline shows real shard tracks) and dump the span timeline
     // as Chrome trace-event JSON.
     if let Some(path) = &trace_out {
-        let config = ServerConfig {
-            num_shards: 4,
-            batch_size: 8192,
-            mode: ExecMode::Threaded,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: ScatterMode::Broadcast,
-            telemetry: telemetry_full(),
-        };
+        let config = ServerConfig::with_shards(4)
+            .batch_size(8192)
+            .mode(ExecMode::Threaded)
+            .telemetry(telemetry_full());
         let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
         server.initialize();
         server.ingest_batch(&events);
@@ -1329,23 +1196,18 @@ fn main() {
     }
     println!("{json}");
     eprintln!(
-        "modeled speedup 8 shards vs 1 (pipelined/inline/broadcast): zt_nrp {speedup_8x:.2}x, \
+        "modeled speedup 8 shards vs 1 (inline): zt_nrp {speedup_8x:.2}x, \
          rtp {rtp_speedup_8x:.2}x, reinit_storm {storm_speedup_8x:.2}x"
-    );
-    eprintln!(
-        "scatter_ns reduction 8 shards (eager / broadcast): zt_nrp {zt_scatter_red:.0}x, rtp \
-         {rtp_scatter_red:.0}x"
     );
 
     // Allocation audit of the window loop (quick mode prints it so the CI
     // log shows the pooled steady state at a glance).
     if scale.is_quick() {
-        for s in results.iter().filter(|s| s.scatter == "broadcast" && s.mode == "inline") {
+        for s in results.iter().filter(|s| s.mode == "inline") {
             eprintln!(
-                "alloc audit: {} shards={} {}: {:.1} allocs/round over {} rounds",
+                "alloc audit: {} shards={}: {:.1} allocs/round over {} rounds",
                 s.scenario,
                 s.shards,
-                s.coord,
                 s.allocs_per_round(),
                 s.rounds
             );
@@ -1368,16 +1230,14 @@ fn main() {
     }
     if assert_scatter_budget {
         let mut checked = 0;
-        for s in results.iter().filter(|s| s.scenario == "zt_nrp_range" && s.scatter == "broadcast")
-        {
+        for s in results.iter().filter(|s| s.scenario == "zt_nrp_range") {
             let frac = s.scatter_ns as f64 / s.ingest_wall_ns.max(1) as f64;
             assert!(
                 frac < SCATTER_BUDGET,
-                "broadcast scatter budget exceeded: zt_nrp shards={} {} {}: scatter_ns {} is \
+                "broadcast scatter budget exceeded: zt_nrp shards={} {}: scatter_ns {} is \
                  {:.1}% of ingest_wall_ns {} (budget {:.0}%)",
                 s.shards,
                 s.mode,
-                s.coord,
                 s.scatter_ns,
                 frac * 100.0,
                 s.ingest_wall_ns,
@@ -1385,7 +1245,7 @@ fn main() {
             );
             checked += 1;
         }
-        assert!(checked > 0, "--assert-scatter-budget found no zt_nrp broadcast rows");
-        eprintln!("scatter budget ok: {checked} broadcast rows under {SCATTER_BUDGET}");
+        assert!(checked > 0, "--assert-scatter-budget found no zt_nrp rows");
+        eprintln!("scatter budget ok: {checked} zt_nrp rows under {SCATTER_BUDGET}");
     }
 }

@@ -19,9 +19,10 @@
 //!   [`asf_core::workload::EventBatch`]es behind an `Arc`: the coordinator
 //!   pays O(shards) clones per window and each shard selects its own
 //!   events (`stream % shards`) inside the parallel region, so the last
-//!   O(events) coordinator stage is the protocol's report stream, not the
-//!   event copy loop ([`ScatterMode`]; the eager per-shard-copy path
-//!   remains as the differential baseline).
+//!   O(events) coordinator stage is the protocol's report stream, not an
+//!   event copy loop.
+//! * **Pipelined windows.** Shards evaluate window *t+1* while the
+//!   coordinator drains window *t*'s reports (see [`pipeline`]).
 //! * **Conservative-prefix commits.** Shards evaluate each batch
 //!   speculatively and the coordinator commits exactly the prefix that
 //!   precedes the globally first report (see [`server`]); everything else
@@ -75,8 +76,7 @@ pub use asf_telemetry::TraceDepth;
 pub use durability::{CheckpointMode, Durability, DurabilityConfig};
 pub use handle::ExecMode;
 pub use metrics::{FleetOpStats, ServerMetrics};
-pub use pipeline::CoordMode;
-pub use server::{ScatterMode, ServerConfig, ShardedServer, TelemetryConfig};
+pub use server::{ServerConfig, ShardedServer, TelemetryConfig};
 pub use shard::Partition;
 
 #[cfg(test)]
@@ -115,7 +115,7 @@ mod tests {
         engine.run(&mut vw);
 
         for mode in [ExecMode::Inline, ExecMode::Threaded] {
-            let config = ServerConfig { num_shards: 4, batch_size: 64, mode, ..Default::default() };
+            let config = ServerConfig::with_shards(4).batch_size(64).mode(mode);
             let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
             server.initialize();
             server.ingest_batch(&events);

@@ -79,21 +79,15 @@ pub struct ServerMetrics {
     /// Sum over rounds of the *maximum* shard busy time in that round —
     /// the data-plane critical path of a perfectly parallel execution.
     pub critical_path_ns: u64,
-    /// Coordinator-side scatter work per round (ns): the per-event
-    /// partition/copy loop under `ScatterMode::Eager`, or just the
-    /// O(shards) `Arc` clones of the shared window under
-    /// `ScatterMode::Broadcast`. Channel sends and any inline shard
-    /// execution are excluded — those are data-plane time, metered via
-    /// shard busy.
+    /// Coordinator-side scatter work per round (ns): the `Arc` clone of the
+    /// shared window. Channel sends and any inline shard execution are
+    /// excluded — those are data-plane time, metered via shard busy.
     pub scatter_ns: u64,
-    /// Per-shard time spent scanning shared windows for owned events
-    /// (`ScatterMode::Broadcast` only) — where the eager scatter's
-    /// partition work moved. Included in the corresponding shard busy /
-    /// critical-path figures.
+    /// Per-shard time spent scanning shared windows for owned events.
+    /// Included in the corresponding shard busy / critical-path figures.
     pub shard_scan_ns: Vec<u64>,
     /// Bytes of columnar window payload shared with the shards by
-    /// reference (Σ over rounds of window bytes × participating shards) —
-    /// the traffic an eager scatter would have had to copy and partition.
+    /// reference (Σ over rounds of window bytes × shards).
     pub window_bytes_shared: u64,
     /// Coordinator time spent materializing ingested event slices into the
     /// pooled columnar chunk (ns). Zero when the feeder writes the chunk

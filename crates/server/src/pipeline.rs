@@ -1,10 +1,9 @@
-//! The pipelined coordinator: double-buffered evaluation windows.
+//! The coordinator: double-buffered evaluation windows.
 //!
-//! The serial coordinator alternates two phases that never overlap: the
-//! shards evaluate a window, then the coordinator drains the window's
-//! report stream while every shard sits idle. On report-heavy workloads
-//! (rank protocols with redeployments, reinit storms) the drain dominates,
-//! and adding shards buys nothing — the ROADMAP's `serial_ns` wall.
+//! Each window has two phases: the shards evaluate it, then the
+//! coordinator drains its report stream. Run back to back, every shard
+//! would sit idle during each drain, and on report-heavy workloads (rank
+//! protocols with redeployments, reinit storms) the drain dominates.
 //!
 //! Pipelining overlaps the two: while the coordinator drains window *t*'s
 //! seq-ordered reports, the shards already evaluate window *t+1*
@@ -15,7 +14,7 @@
 //!
 //! ```text
 //!             ┌───────────── window t ─────────────┐┌─── window t+1 ───┐
-//!   shards:   │ EvalBatch(t)      (idle)           ││ EvalBatch(t+1)   │ ...
+//!   shards:   │ EvalWindow(t)     (idle)           ││ EvalWindow(t+1)  │ ...
 //!   coord:    │ scatter t | gather t | scatter t+1 || drain reports(t) | gather t+1 ...
 //! ```
 //!
@@ -59,9 +58,9 @@
 //!
 //! Reports are consumed in sequence order, windows commit in order, and a
 //! touch rolls speculation back to the exact serial state before it
-//! executes — so the pipelined coordinator is **byte-identical** to the
-//! serial coordinator and to the single-threaded engine (answers, ledgers,
-//! view bits, report counts), for any shard count and execution mode.
+//! executes — so the coordinator is **byte-identical** to the
+//! single-threaded engine (answers, ledgers, view bits, report counts), for
+//! any shard count and execution mode.
 //! `tests/server_shard_invariance.rs` and `tests/batch_differential.rs`
 //! pin this per protocol.
 //!
@@ -76,28 +75,13 @@
 
 use asf_core::protocol::Protocol;
 
-/// How the coordinator schedules report handling against shard evaluation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CoordMode {
-    /// Evaluate a window, then drain its reports; no overlap. The
-    /// speculation baseline the differential suites compare against.
-    Serial,
-    /// Double-buffered windows: shards evaluate window `t+1` while the
-    /// coordinator drains window `t`'s reports; a fleet touch rolls back
-    /// the in-flight work it invalidates. Byte-identical to
-    /// [`CoordMode::Serial`]. The default.
-    #[default]
-    Pipelined,
-}
-
-use crate::server::ShardedServer;
+use crate::server::{max_window, ShardedServer};
 
 impl<P: Protocol> ShardedServer<P> {
     /// Double-buffered chunk application (see the module docs for the
-    /// state machine). Byte-identical to the serial path by construction.
-    /// Windows — including the rollback re-scatters after a cut — are
-    /// ranges of the one shared chunk, so under broadcast scatter each
-    /// round costs O(shards) `Arc` clones, never an event copy.
+    /// state machine). Windows — including the rollback re-scatters after
+    /// a cut — are ranges of the one shared chunk, so each round costs
+    /// O(shards) `Arc` clones, never an event copy.
     pub(crate) fn apply_chunk_pipelined(&mut self) {
         let chunk_len = self.shared_chunk.len();
         let mut start = 0usize;
@@ -105,31 +89,28 @@ impl<P: Protocol> ShardedServer<P> {
             // Fill the pipe: evaluate the first window with nothing to
             // overlap (there are no reports to drain yet).
             let end = chunk_len.min(start + self.window);
-            let participants = self.scatter_window(start, end);
-            self.metrics.critical_path_ns += self.gather_window(&participants);
-            self.recycle_participants(participants);
+            self.scatter_window(start, end);
+            self.metrics.critical_path_ns += self.gather_window();
             let mut cur_end = end;
 
             // Steady state: window t's reports drain while window t+1
             // evaluates.
             loop {
-                let mut next_window: Vec<usize> = Vec::new();
+                let next_in_flight = cur_end < chunk_len;
                 let mut next_end = cur_end;
-                if cur_end < chunk_len {
+                if next_in_flight {
                     next_end = chunk_len.min(cur_end + self.window);
-                    next_window = self.scatter_window(cur_end, next_end);
+                    self.scatter_window(cur_end, next_end);
                     self.metrics.max_inflight_windows = self.metrics.max_inflight_windows.max(2);
                 }
 
-                let (cut_at, drain_pure) = self.drain_reports(&mut next_window);
+                let (cut_at, drain_pure) = self.drain_reports(next_in_flight);
 
                 match cut_at {
                     Some(c) => {
                         // The guarded cut absorbed the in-flight window
                         // (if any) and rolled everything past `c` back;
                         // refill the pipe right after the touch.
-                        debug_assert!(next_window.is_empty(), "cut leaves no window in flight");
-                        self.recycle_participants(next_window);
                         self.adapt_window_to_cut(start, c);
                         start = c as usize + 1;
                         continue 'refill;
@@ -139,16 +120,14 @@ impl<P: Protocol> ShardedServer<P> {
                         // next cut or the chunk-end quiescent point).
                         // Quiet window: widen (deterministic — depends
                         // only on the event/report sequence).
-                        self.window = (self.window * 2).min(self.max_window());
+                        self.window = (self.window * 2).min(max_window(self.config.batch_size));
                         start = cur_end;
-                        if next_window.is_empty() {
-                            self.recycle_participants(next_window);
+                        if !next_in_flight {
                             break 'refill;
                         }
                         // Gather t+1: its evaluation ran while the drain
                         // above did — serial time hidden by the pipeline.
-                        let cp_next = self.gather_window(&next_window);
-                        self.recycle_participants(next_window);
+                        let cp_next = self.gather_window();
                         self.metrics.critical_path_ns += cp_next;
                         let saved = drain_pure.min(cp_next);
                         self.metrics.overlap_saved_ns += saved;
@@ -168,9 +147,8 @@ impl<P: Protocol> ShardedServer<P> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::handle::ExecMode;
-    use crate::server::{ScatterMode, ServerConfig};
+    use crate::server::{ServerConfig, ShardedServer};
     use asf_core::engine::Engine;
     use asf_core::protocol::{Rtp, ZtNrp};
     use asf_core::query::{RangeQuery, RankQuery};
@@ -204,33 +182,18 @@ mod tests {
         engine.run(&mut w);
 
         for mode in [ExecMode::Inline, ExecMode::Threaded] {
-            for scatter in [ScatterMode::Eager, ScatterMode::Broadcast] {
-                let config = ServerConfig {
-                    num_shards: 4,
-                    batch_size: 64,
-                    mode,
-                    channel_capacity: 2,
-                    coordinator: CoordMode::Pipelined,
-                    scatter,
-                    telemetry: Default::default(),
-                };
-                let mut server = super::ShardedServer::new(&initial, ZtNrp::new(query), config);
-                server.initialize();
-                server.ingest_batch(&events);
-                assert_eq!(server.answer(), engine.answer(), "{mode:?} {scatter:?}");
-                assert_eq!(server.ledger(), engine.ledger(), "{mode:?} {scatter:?}");
-                let m = server.metrics();
-                assert_eq!(
-                    m.max_inflight_windows, 2,
-                    "the pipe must actually fill ({mode:?} {scatter:?})"
-                );
-                assert_eq!(m.speculative_commits, m.events, "every event commits exactly once");
-                assert_eq!(m.shard_events.iter().sum::<u64>(), m.events);
-                if scatter == ScatterMode::Broadcast {
-                    assert!(m.window_bytes_shared > 0, "broadcast rounds share window bytes");
-                }
-                server.shutdown();
-            }
+            let config = ServerConfig::with_shards(4).batch_size(64).mode(mode);
+            let mut server = ShardedServer::new(&initial, ZtNrp::new(query), config);
+            server.initialize();
+            server.ingest_batch(&events);
+            assert_eq!(server.answer(), engine.answer(), "{mode:?}");
+            assert_eq!(server.ledger(), engine.ledger(), "{mode:?}");
+            let m = server.metrics();
+            assert_eq!(m.max_inflight_windows, 2, "the pipe must actually fill ({mode:?})");
+            assert_eq!(m.speculative_commits, m.events, "every event commits exactly once");
+            assert_eq!(m.shard_events.iter().sum::<u64>(), m.events);
+            assert!(m.window_bytes_shared > 0, "broadcast rounds share window bytes");
+            server.shutdown();
         }
     }
 
@@ -248,16 +211,8 @@ mod tests {
         let mut w = VecWorkload::new(initial.clone(), events.clone());
         engine.run(&mut w);
 
-        let config = ServerConfig {
-            num_shards: 3,
-            batch_size: 32,
-            mode: ExecMode::Inline,
-            channel_capacity: 2,
-            coordinator: CoordMode::Pipelined,
-            scatter: Default::default(),
-            telemetry: Default::default(),
-        };
-        let mut server = super::ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
+        let config = ServerConfig::with_shards(3).batch_size(32);
+        let mut server = ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
         server.initialize();
         server.ingest_batch(&events);
 
@@ -280,32 +235,5 @@ mod tests {
         let truth = server.truth_values();
         let serial_truth: Vec<f64> = engine.fleet().iter().map(|s| s.value()).collect();
         assert_eq!(truth, serial_truth, "rollback must restore exact source state");
-    }
-
-    #[test]
-    fn serial_and_pipelined_coordinators_are_byte_identical() {
-        let (initial, events) = fixture(40, 180.0, 23);
-        let query = RankQuery::knn(500.0, 5).unwrap();
-        let run = |coordinator: CoordMode| {
-            let config = ServerConfig {
-                num_shards: 4,
-                batch_size: 128,
-                mode: ExecMode::Inline,
-                channel_capacity: 2,
-                coordinator,
-                scatter: Default::default(),
-                telemetry: Default::default(),
-            };
-            let mut server =
-                super::ShardedServer::new(&initial, Rtp::new(query, 2).unwrap(), config);
-            server.initialize();
-            server.ingest_batch(&events);
-            let answers = server.answer();
-            let ledger = server.ledger().clone();
-            let reports = server.reports_processed();
-            let truth = server.truth_values();
-            (answers, ledger, reports, truth)
-        };
-        assert_eq!(run(CoordMode::Serial), run(CoordMode::Pipelined));
     }
 }

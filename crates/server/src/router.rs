@@ -33,14 +33,11 @@ use crate::shard::{Partition, ShardCmd, ShardReply, SpecEvent};
 /// discarding their tentative reports and recycling their buffers — before
 /// it can commit the speculation cut, because per-shard channels are FIFO.
 pub(crate) struct InflightWindow<'a> {
-    /// Shards with an outstanding eval reply; drained by the absorb.
-    pub shards: &'a mut Vec<usize>,
-    /// Buffer pool the absorbed batch/report vectors are recycled into.
+    /// Buffer pool the absorbed report vectors are recycled into.
     pub pool: &'a mut Vec<Vec<SpecEvent>>,
     /// Coordinator-side per-shard cumulative busy accounting.
     pub shard_busy_ns: &'a mut [u64],
-    /// Coordinator-side per-shard ownership-scan accounting (broadcast
-    /// scatter).
+    /// Coordinator-side per-shard ownership-scan accounting.
     pub shard_scan_ns: &'a mut [u64],
     /// Shard busy time burned on the discarded window (metrics).
     pub discarded_busy_ns: &'a mut u64,
@@ -194,13 +191,13 @@ impl<'a> ShardRouter<'a> {
         }
     }
 
-    /// Receives and discards the outstanding `Evaluated` replies of an
-    /// in-flight window: its tentative reports are dropped (the cut below
-    /// will roll their applications back) and its buffers recycled.
+    /// Receives and discards every shard's outstanding `Evaluated` reply
+    /// of an in-flight window: its tentative reports are dropped (the cut
+    /// below will roll their applications back) and its buffers recycled.
     pub(crate) fn absorb_evals(&mut self, inflight: &mut InflightWindow<'_>) {
-        for s in inflight.shards.drain(..) {
+        for s in 0..self.handles.len() {
             match self.handles[s].recv() {
-                ShardReply::Evaluated { reports, busy_ns, scan_ns, batch, .. } => {
+                ShardReply::Evaluated { reports, busy_ns, scan_ns, .. } => {
                     inflight.shard_busy_ns[s] += busy_ns;
                     inflight.shard_scan_ns[s] += scan_ns;
                     *inflight.discarded_busy_ns += busy_ns;
@@ -210,11 +207,8 @@ impl<'a> ShardRouter<'a> {
                     if reports.capacity() > 0 {
                         inflight.pool.push(reports);
                     }
-                    if batch.capacity() > 0 {
-                        inflight.pool.push(batch);
-                    }
                 }
-                other => unreachable!("absorb of EvalBatch got {other:?}"),
+                other => unreachable!("absorb of EvalWindow got {other:?}"),
             }
         }
     }
@@ -235,10 +229,9 @@ pub struct GuardedRouter<'a> {
     inner: ShardRouter<'a>,
     keep_below: u64,
     committed: Option<Vec<(u32, u32)>>,
-    /// The pipelined coordinator's in-flight next window, absorbed (reports
+    /// The coordinator's in-flight next window, absorbed (reports
     /// discarded, applications rolled back by the cut) before the first
-    /// fleet touch executes. `None` on the serial coordinator or when no
-    /// window is in flight.
+    /// fleet touch executes. `None` when no window is in flight.
     inflight: Option<InflightWindow<'a>>,
 }
 

@@ -7,7 +7,9 @@
 //! * the in-process [`SourceFleet`] with its native single-pass batch
 //!   implementations (what [`Engine`] runs);
 //! * the sharded `asf-server` runtime, whose batch operations
-//!   scatter/gather across 1, 4, and 8 shards, inline and threaded.
+//!   scatter/gather across 1, 4, and 8 shards, inline and threaded, with
+//!   telemetry off and fully on, fed through both ingest entries
+//!   (`ingest_batch` over an event slice, `run` over a columnar workload).
 //!
 //! For RTP (probe storms from overflow shrinks and expansion searches,
 //! reinit broadcasts), FT-NRP (fleet-wide `install_many` deployments and
@@ -19,10 +21,8 @@ use asf_core::engine::{Engine, ProtocolCore};
 use asf_core::protocol::{FtNrp, FtNrpConfig, Protocol, Rtp, ZtRp};
 use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::FractionTolerance;
-use asf_core::workload::{EventBatch, UpdateEvent, Workload};
-use asf_server::{
-    CoordMode, ExecMode, ScatterMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth,
-};
+use asf_core::workload::{EventBatch, UpdateEvent, VecWorkload, Workload};
+use asf_server::{ExecMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth};
 use streamnet::{Filter, FleetOps, Ledger, ServerView, SourceFleet, StreamId};
 use workloads::{SyntheticConfig, SyntheticWorkload};
 
@@ -105,8 +105,8 @@ fn rank_bits(index: Option<&asf_core::rank::RankForest>) -> Option<Vec<(u64, Str
 }
 
 /// Runs `make()`'s protocol through the scalar baseline, the native batched
-/// engine, and the sharded server at 1/4/8 shards (inline, plus threaded at
-/// 4), asserting byte-identical observable state everywhere.
+/// engine, and the sharded server at 1/4/8 shards (inline and threaded),
+/// asserting byte-identical observable state everywhere.
 fn assert_batched_equals_scalar<P, F>(label: &str, initial: &[f64], events: &[UpdateEvent], make: F)
 where
     P: Protocol,
@@ -154,69 +154,51 @@ where
         "{label}: rank order diverges"
     );
 
-    // Sharded batch execution: every shard count, execution mode,
-    // coordinator (serial window-at-a-time and pipelined double-buffered),
-    // and scatter mode (eager per-shard copies and broadcast over the
-    // shared columnar window) must reproduce the scalar baseline exactly.
-    let mut combos = Vec::new();
-    for (shards, mode, coordinator) in [
-        (1, ExecMode::Inline, CoordMode::Serial),
-        (1, ExecMode::Inline, CoordMode::Pipelined),
-        (4, ExecMode::Inline, CoordMode::Serial),
-        (4, ExecMode::Inline, CoordMode::Pipelined),
-        (4, ExecMode::Threaded, CoordMode::Serial),
-        (4, ExecMode::Threaded, CoordMode::Pipelined),
-        (8, ExecMode::Inline, CoordMode::Serial),
-        (8, ExecMode::Inline, CoordMode::Pipelined),
-    ] {
-        for scatter in [ScatterMode::Eager, ScatterMode::Broadcast] {
-            combos.push((shards, mode, coordinator, scatter));
-        }
-    }
-    for (shards, mode, coordinator, scatter) in combos {
-        // Half the sweep runs with telemetry fully off, half with cause
-        // attribution + fine tracing: all of it must match the one scalar
-        // baseline, proving telemetry is purely observational.
-        let telemetry = match scatter {
-            ScatterMode::Eager => {
-                TelemetryConfig { causes: false, trace: TraceDepth::Off, trace_capacity: 0 }
+    // Sharded batch execution: every shard count and execution mode, with
+    // telemetry fully off and with cause attribution + fine tracing (it
+    // must be purely observational), must reproduce the scalar baseline
+    // exactly. The feeder alternates so each combination and each
+    // telemetry setting runs through both ingest entries: `ingest_batch`
+    // copies the event slice into the columnar chunk, `run` lets the
+    // workload write the chunk directly via `Workload::next_batch`.
+    let telemetry_configs = [
+        TelemetryConfig { causes: false, trace: TraceDepth::Off, trace_capacity: 0 },
+        TelemetryConfig { causes: true, trace: TraceDepth::Fine, trace_capacity: 2048 },
+    ];
+    let combos = [1, 4, 8]
+        .into_iter()
+        .flat_map(|shards| [(shards, ExecMode::Inline), (shards, ExecMode::Threaded)]);
+    for (c, (shards, mode)) in combos.enumerate() {
+        for (t, &telemetry) in telemetry_configs.iter().enumerate() {
+            let config =
+                ServerConfig::with_shards(shards).batch_size(128).mode(mode).telemetry(telemetry);
+            let mut server = ShardedServer::new(initial, make(), config);
+            server.initialize();
+            let columnar = (c + t) % 2 == 1;
+            if columnar {
+                server.run(&mut VecWorkload::new(initial.to_vec(), events.to_vec()));
+            } else {
+                server.ingest_batch(events);
             }
-            ScatterMode::Broadcast => {
-                TelemetryConfig { causes: true, trace: TraceDepth::Fine, trace_capacity: 2048 }
-            }
-        };
-        let config = ServerConfig {
-            num_shards: shards,
-            batch_size: 128,
-            mode,
-            channel_capacity: 2,
-            coordinator,
-            scatter,
-            telemetry,
-        };
-        let mut server = ShardedServer::new(initial, make(), config);
-        server.initialize();
-        // Broadcast servers ingest the columnar batch natively; eager ones
-        // take the event-slice entry — both paths must agree.
-        match scatter {
-            ScatterMode::Broadcast => server.ingest_event_batch(&batch),
-            ScatterMode::Eager => server.ingest_batch(events),
+            let tag = format!(
+                "{label} shards={shards} {mode:?} causes={} columnar={columnar}",
+                telemetry.causes
+            );
+            assert_eq!(server.answer(), scalar.answer(), "{tag}: answers diverge");
+            assert_eq!(server.ledger(), scalar.ledger(), "{tag}: ledgers diverge");
+            assert_eq!(view_bits(server.view()), view_bits(scalar.view()), "{tag}: views diverge");
+            assert_eq!(
+                server.reports_processed(),
+                scalar.reports_processed(),
+                "{tag}: report counts diverge"
+            );
+            assert_eq!(
+                rank_bits(server.rank_index()),
+                rank_bits(scalar.rank_index()),
+                "{tag}: rank order diverges"
+            );
+            server.shutdown();
         }
-        let tag = format!("{label} shards={shards} {mode:?} {coordinator:?} {scatter:?}");
-        assert_eq!(server.answer(), scalar.answer(), "{tag}: answers diverge");
-        assert_eq!(server.ledger(), scalar.ledger(), "{tag}: ledgers diverge");
-        assert_eq!(view_bits(server.view()), view_bits(scalar.view()), "{tag}: views diverge");
-        assert_eq!(
-            server.reports_processed(),
-            scalar.reports_processed(),
-            "{tag}: report counts diverge"
-        );
-        assert_eq!(
-            rank_bits(server.rank_index()),
-            rank_bits(scalar.rank_index()),
-            "{tag}: rank order diverges"
-        );
-        server.shutdown();
     }
 }
 

@@ -12,13 +12,13 @@
 //! so its ledger pays the same logical messages). The convergence contract:
 //! once faults cease and repair quiesces, the chaos run's answers, views,
 //! ground truth, and post-resync ledger/report deltas are **byte-identical**
-//! to the baseline's — swept per protocol × shard count × coordinator ×
-//! fault mix. While faults are active, the tolerance oracle checks
+//! to the baseline's — swept per protocol × shard count × execution mode ×
+//! telemetry setting × fault mix. While faults are active, the tolerance oracle checks
 //! rank/fraction/exactness bounds over the verified-live (leased)
 //! population, surfacing every dead answer member as a potential violation.
 //!
-//! The chaos run itself must also be byte-identical across shard counts and
-//! coordinators — fault draws are consumed in the protocol's deterministic
+//! The chaos run itself must also be byte-identical across shard counts,
+//! execution modes and telemetry settings — fault draws are consumed in the protocol's deterministic
 //! consumed-report order, never in backend-dependent order.
 
 use asf_core::multi_query::{CellMode, MultiRangeZt};
@@ -30,7 +30,7 @@ use asf_core::query::{RangeQuery, RankQuery};
 use asf_core::tolerance::{FractionTolerance, RankTolerance};
 use asf_core::workload::{UpdateEvent, Workload};
 use asf_core::AnswerSet;
-use asf_server::{CoordMode, ExecMode, ScatterMode, ServerConfig, ShardedServer};
+use asf_server::{ExecMode, ServerConfig, ShardedServer, TelemetryConfig, TraceDepth};
 use simkit::FaultMix;
 use streamnet::{ChaosConfig, ChaosStats, SourceFleet, StreamId};
 use workloads::{SyntheticConfig, SyntheticWorkload};
@@ -53,16 +53,20 @@ fn fixture(seed: u64) -> (Vec<f64>, Vec<UpdateEvent>) {
     (initial, events)
 }
 
-fn config(shards: usize, coordinator: CoordMode) -> ServerConfig {
-    ServerConfig {
-        num_shards: shards,
-        batch_size: BATCH,
-        mode: ExecMode::Inline,
-        channel_capacity: 2,
-        coordinator,
-        scatter: ScatterMode::Broadcast,
-        telemetry: Default::default(),
+/// The backend sweep of one shard count: both execution modes, each with
+/// telemetry off and fully on (telemetry must be purely observational).
+fn configs(shards: usize) -> Vec<ServerConfig> {
+    let off = TelemetryConfig { causes: false, trace: TraceDepth::Off, trace_capacity: 0 };
+    let full = TelemetryConfig { causes: true, trace: TraceDepth::Fine, trace_capacity: 4096 };
+    let mut out = Vec::new();
+    for mode in [ExecMode::Inline, ExecMode::Threaded] {
+        for telemetry in [off, full] {
+            out.push(
+                ServerConfig::with_shards(shards).batch_size(BATCH).mode(mode).telemetry(telemetry),
+            );
+        }
     }
+    out
 }
 
 /// A protocol-specific tolerance check over the live population:
@@ -89,12 +93,11 @@ fn run_one<P: Protocol, F: Fn() -> P>(
     prefix: &[UpdateEvent],
     suffix: &[UpdateEvent],
     make: &F,
-    shards: usize,
-    coordinator: CoordMode,
+    config: ServerConfig,
     chaos: Option<ChaosConfig>,
     live_check: Option<LiveCheck>,
 ) -> (Outcome, Option<ChaosStats>, [u64; 5]) {
-    let mut server = ShardedServer::new(initial, make(), config(shards, coordinator));
+    let mut server = ShardedServer::new(initial, make(), config);
     server.initialize();
     let faulted = chaos.is_some();
     if let Some(cfg) = chaos {
@@ -189,7 +192,8 @@ fn check_in_fault<P: Protocol>(
 }
 
 /// Runs the full sweep for one protocol: baseline vs chaos per fault mix ×
-/// shard count × coordinator, asserting post-resync convergence and
+/// shard count × execution mode × telemetry setting, asserting
+/// post-resync convergence and
 /// cross-backend identity of the chaos runs themselves.
 fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
     name: &str,
@@ -209,8 +213,7 @@ fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
         prefix,
         suffix,
         &make,
-        1,
-        CoordMode::Serial,
+        ServerConfig::with_shards(1).batch_size(BATCH),
         None,
         live_check,
     );
@@ -223,68 +226,60 @@ fn assert_chaos_converges<P: Protocol, F: Fn() -> P>(
     ];
     for (mix_name, mix) in mixes {
         let mut reference: Option<(Outcome, ChaosStats, [u64; 5])> = None;
-        for shards in [1usize, 2, 8] {
-            for coordinator in [CoordMode::Serial, CoordMode::Pipelined] {
-                let tag = format!("{name} mix={mix_name} shards={shards} {coordinator:?}");
-                let cfg = ChaosConfig::new(0xC4A05, mix, horizon).lease_ticks(512);
-                let (outcome, stats, ledger) = run_one(
-                    &tag,
-                    &initial,
-                    prefix,
-                    suffix,
-                    &make,
-                    shards,
-                    coordinator,
-                    Some(cfg),
-                    live_check,
-                );
-                let stats = stats.expect("chaos enabled");
+        for config in [1usize, 2, 8].into_iter().flat_map(configs) {
+            let tag = format!(
+                "{name} mix={mix_name} shards={} {:?} causes={}",
+                config.num_shards, config.mode, config.telemetry.causes
+            );
+            let cfg = ChaosConfig::new(0xC4A05, mix, horizon).lease_ticks(512);
+            let (outcome, stats, ledger) =
+                run_one(&tag, &initial, prefix, suffix, &make, config, Some(cfg), live_check);
+            let stats = stats.expect("chaos enabled");
 
-                // Convergence: byte-identical to the never-faulted run once
-                // faults ceased and repair quiesced.
-                assert_eq!(outcome.answer, baseline.answer, "{tag}: answers diverged");
-                assert_eq!(outcome.view, baseline.view, "{tag}: views diverged");
-                assert_eq!(outcome.truth, baseline.truth, "{tag}: ground truth diverged");
-                assert_eq!(
-                    outcome.ledger_delta, baseline.ledger_delta,
-                    "{tag}: post-resync ledger deltas diverged"
-                );
-                assert_eq!(
-                    outcome.reports_delta, baseline.reports_delta,
-                    "{tag}: post-resync report counts diverged"
-                );
+            // Convergence: byte-identical to the never-faulted run once
+            // faults ceased and repair quiesced.
+            assert_eq!(outcome.answer, baseline.answer, "{tag}: answers diverged");
+            assert_eq!(outcome.view, baseline.view, "{tag}: views diverged");
+            assert_eq!(outcome.truth, baseline.truth, "{tag}: ground truth diverged");
+            assert_eq!(
+                outcome.ledger_delta, baseline.ledger_delta,
+                "{tag}: post-resync ledger deltas diverged"
+            );
+            assert_eq!(
+                outcome.reports_delta, baseline.reports_delta,
+                "{tag}: post-resync report counts diverged"
+            );
 
-                // The fault layer must actually have engaged.
-                match mix_name {
-                    "loss" => assert!(
-                        stats.reports_lost + stats.heartbeats_lost > 0,
-                        "{tag}: loss mix injected nothing: {stats:?}"
-                    ),
-                    // Report-frugal protocols (FT) may expose the delay mix
-                    // only through duplicated heartbeats/requests, which
-                    // land in `overhead_frames` beyond the per-round
-                    // heartbeat baseline.
-                    "delay+reorder" => assert!(
-                        stats.reports_delayed
-                            + stats.dup_frames
-                            + (stats.overhead_frames - stats.heartbeats_sent)
-                            > 0,
-                        "{tag}: delay mix injected nothing: {stats:?}"
-                    ),
-                    _ => assert!(stats.crashes > 0, "{tag}: crash mix injected nothing: {stats:?}"),
-                }
+            // The fault layer must actually have engaged.
+            match mix_name {
+                "loss" => assert!(
+                    stats.reports_lost + stats.heartbeats_lost > 0,
+                    "{tag}: loss mix injected nothing: {stats:?}"
+                ),
+                // Report-frugal protocols (FT) may expose the delay mix
+                // only through duplicated heartbeats/requests, which
+                // land in `overhead_frames` beyond the per-round
+                // heartbeat baseline.
+                "delay+reorder" => assert!(
+                    stats.reports_delayed
+                        + stats.dup_frames
+                        + (stats.overhead_frames - stats.heartbeats_sent)
+                        > 0,
+                    "{tag}: delay mix injected nothing: {stats:?}"
+                ),
+                _ => assert!(stats.crashes > 0, "{tag}: crash mix injected nothing: {stats:?}"),
+            }
 
-                // Backend invariance of the chaos run itself: fault draws
-                // follow the consumed-report order, so the whole run —
-                // cumulative ledger included — is identical across shard
-                // counts and coordinators.
-                match &reference {
-                    None => reference = Some((outcome, stats, ledger)),
-                    Some((ref_outcome, ref_stats, ref_ledger)) => {
-                        assert_eq!(&outcome, ref_outcome, "{tag}: chaos outcome backend-dependent");
-                        assert_eq!(&stats, ref_stats, "{tag}: chaos stats backend-dependent");
-                        assert_eq!(&ledger, ref_ledger, "{tag}: chaos ledger backend-dependent");
-                    }
+            // Backend invariance of the chaos run itself: fault draws
+            // follow the consumed-report order, so the whole run —
+            // cumulative ledger included — is identical across shard
+            // counts, execution modes and telemetry settings.
+            match &reference {
+                None => reference = Some((outcome, stats, ledger)),
+                Some((ref_outcome, ref_stats, ref_ledger)) => {
+                    assert_eq!(&outcome, ref_outcome, "{tag}: chaos outcome backend-dependent");
+                    assert_eq!(&stats, ref_stats, "{tag}: chaos stats backend-dependent");
+                    assert_eq!(&ledger, ref_ledger, "{tag}: chaos ledger backend-dependent");
                 }
             }
         }
